@@ -91,19 +91,22 @@ object BenchTables {
   }
 
   // -------------------------------------------------------------- Tables 3–4
-  final case class Compression(query: String, embeddings: Long, elBytes: Long, etBytes: Long) {
+  /** `trieBytes` is the peak real size of the columnar trie on one machine,
+    * next to the paper-model EL/ET sums.
+    */
+  final case class Compression(query: String, embeddings: Long, elBytes: Long, etBytes: Long, trieBytes: Long) {
     def ratio: Double = if (etBytes == 0) 1.0 else elBytes.toDouble / etBytes
   }
 
   def compressionTable(spark: SparkSession, dataset: String, tableNo: Int): Seq[Compression] = {
     banner(s"Table $tableNo: intermediate-result storage, embedding list (EL) vs embedding trie (ET) — $dataset")
-    println(f"${"Query"}%-7s ${"Results"}%10s ${"EL"}%12s ${"ET"}%12s ${"EL/ET"}%7s")
+    println(f"${"Query"}%-7s ${"Results"}%10s ${"EL"}%12s ${"ET"}%12s ${"EL/ET"}%7s ${"TriePeak"}%12s")
     val p = pg(dataset)
     val rows = Queries.main.map { q =>
       val run = Rads.enumerate(spark, p, q, Rads.Config(keepEmbeddings = false))
       val m   = run.metrics.machines
-      val r   = Compression(q.name, run.count, m.sumElBytes, m.sumEtBytes)
-      println(f"${r.query}%-7s ${r.embeddings}%10d ${kb(r.elBytes)}%10sKB ${kb(r.etBytes)}%10sKB ${r.ratio}%7.2f")
+      val r   = Compression(q.name, run.count, m.sumElBytes, m.sumEtBytes, m.peakTrieBytes)
+      println(f"${r.query}%-7s ${r.embeddings}%10d ${kb(r.elBytes)}%10sKB ${kb(r.etBytes)}%10sKB ${r.ratio}%7.2f ${kb(r.trieBytes)}%10sKB")
       r
     }
     rows

@@ -1,115 +1,111 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** One node of the embedding trie (Def. 11): a data vertex, a parent
-  * pointer, and its children. The paper's node carries only
-  * (v, parentN, childCount); we additionally keep the child list for
-  * traversal but account bytes with the paper's 20 B/node model
-  * (8 B vertex + 8 B parent pointer + 4 B childCount).
-  */
-final class EtNode(val v: Int, val parent: EtNode) extends Serializable {
-  private[core] var children: mutable.ArrayBuffer[EtNode] = _
-  def childCount: Int = if (children == null) 0 else children.size
-  def isLeaf: Boolean = childCount == 0
-  private[core] def add(c: EtNode): Unit = {
-    if (children == null) children = new mutable.ArrayBuffer[EtNode](2)
-    children += c
-  }
-  private[core] def remove(c: EtNode): Unit =
-    if (children != null) { val i = children.indexWhere(_ eq c); if (i >= 0) children.remove(i) }
-}
-
-/** Compact storage of intermediate results (§5).
+/** Compact storage of intermediate results (§5), kept as int columns.
   *
   * Every result of the current sub-pattern `P_i` is a root-to-leaf path of
-  * `depth` nodes whose levels follow the matching order (Def. 10). Leaf
-  * node identity (the JVM reference) is the result's unique ID — exactly
-  * the paper's "address of its leaf node in memory".
+  * `depth` nodes whose levels follow the matching order (Def. 10). Level `l`
+  * stores node `j` as `verts(l)(j)` (its data vertex) and `parents(l)(j)`
+  * (its index on level `l - 1`, -1 on level 0). Leaves sit on the last
+  * level, and a leaf's index there is the result's unique ID — the
+  * columnar form of the paper's "address of its leaf node in memory".
+  *
+  * The columns are never written after construction. Expand appends new
+  * levels below the live leaves and shares the earlier ones; Removal sets
+  * bits in a fresh `dead` bitmap over the leaves (bit `j` set = leaf `j`
+  * removed; bits past the bitmap's end read as live). A node whose leaves
+  * are all dead stays in its column until the region group ends, but is no
+  * longer counted.
   */
-final class EmbeddingTrie(val depth: Int) extends Serializable {
-  val roots = new mutable.ArrayBuffer[EtNode]()
-  private var nNodes: Long = 0
+final class EmbeddingTrie(
+    val verts: Array[Array[Int]],
+    val parents: Array[Array[Int]],
+    val dead: Array[Long] = Array.emptyLongArray) extends Serializable {
+  require(verts.length == parents.length && verts.indices.forall(l => verts(l).length == parents(l).length),
+    "vertex and parent columns differ in shape")
 
-  def nodeCount: Long = nNodes
+  def depth: Int = verts.length
 
-  /** Create a detached node (Algorithm 2 creates first, attaches only if the
-    * subtree below it succeeds).
-    */
-  def mkNode(v: Int, parent: EtNode): EtNode = new EtNode(v, parent)
+  private def storedLeaves: Int = verts(depth - 1).length // dead ones included
 
-  /** Attach a node under its parent (or as a root). Counts the node. */
-  def attach(node: EtNode): Unit = {
-    if (node.parent == null) roots += node else node.parent.add(node)
-    nNodes += 1
-  }
+  def isLive(leaf: Int): Boolean =
+    (leaf >>> 6) >= dead.length || (dead(leaf >>> 6) & (1L << leaf)) == 0
 
-  /** Remove a leaf result; empty ancestors are cleaned up recursively —
-    * the Removal operation of §5.
-    */
-  def removeLeaf(leaf: EtNode): Unit = {
-    var node = leaf
-    var continue = true
-    while (continue && node != null) {
-      if (node.childCount == 0) {
-        if (node.parent == null) { val i = roots.indexWhere(_ eq node); if (i >= 0) { roots.remove(i); nNodes -= 1 } }
-        else { node.parent.remove(node); nNodes -= 1 }
-        node = node.parent
-      } else continue = false
+  /** IDs of the live results, in column order. */
+  def leaves: Iterator[Int] = Iterator.range(0, storedLeaves).filter(isLive)
+
+  /** Per level, per node: does a live leaf lie below it? One backward pass. */
+  def liveMasks: Array[Array[Boolean]] = {
+    val out = new Array[Array[Boolean]](depth)
+    out(depth - 1) = Array.tabulate(storedLeaves)(isLive)
+    var l = depth - 1
+    while (l > 0) {
+      val up = new Array[Boolean](verts(l - 1).length)
+      val (mask, par) = (out(l), parents(l))
+      var j = 0
+      while (j < mask.length) { if (mask(j)) up(par(j)) = true; j += 1 }
+      out(l - 1) = up; l -= 1
     }
+    out
   }
 
-  /** All current result leaves (nodes at depth `depth`). */
-  def leaves: Iterator[EtNode] = {
-    def rec(n: EtNode, level: Int): Iterator[EtNode] =
-      if (level == depth) Iterator.single(n)
-      else if (n.children == null) Iterator.empty
-      else n.children.iterator.flatMap(c => rec(c, level + 1))
-    roots.iterator.flatMap(r => rec(r, 1))
-  }
+  /** The paper's node count: nodes on a path to a live leaf. */
+  val nodeCount: Long = liveMasks.iterator.map { m =>
+    var n = 0L; var j = 0
+    while (j < m.length) { if (m(j)) n += 1; j += 1 }
+    n
+  }.sum
 
   /** The data-vertex path of a result, root first (Retrieval of §5). */
-  def pathOf(leaf: EtNode): Array[Int] = {
+  def pathOf(leaf: Int): Array[Int] = {
     val out = new Array[Int](depth)
-    var n = leaf; var i = depth - 1
-    while (n != null) { out(i) = n.v; i -= 1; n = n.parent }
-    require(i == -1, s"leaf at wrong depth (expected $depth)")
+    var j = leaf; var l = depth - 1
+    while (l >= 0) { out(l) = verts(l)(j); j = parents(l)(j); l -= 1 }
     out
   }
 
   def results: Iterator[Array[Int]] = leaves.map(pathOf)
 
-  def resultCount: Long = leaves.size.toLong
+  def resultCount: Long = storedLeaves - dead.iterator.map(w => java.lang.Long.bitCount(w).toLong).sum
 
-  /** Bytes in the paper's trie model: 20 B per node. */
-  def etBytes: Long = nNodes * 20L
+  /** The Removal operation of §5: the same columns with `ids` dead too. */
+  def without(ids: Iterator[Int]): EmbeddingTrie =
+    if (!ids.hasNext) this
+    else {
+      val d = java.util.Arrays.copyOf(dead, (storedLeaves + 63) >>> 6)
+      ids.foreach(j => d(j >>> 6) |= 1L << j)
+      new EmbeddingTrie(verts, parents, d)
+    }
+
+  /** Bytes in the paper's trie model: 20 B per live node. */
+  def etBytes: Long = nodeCount * 20L
 
   /** Bytes of the equivalent flat embedding list: 8 B per mapped vertex. */
   def elBytes: Long = resultCount * depth * 8L
 
-  /** Insert a full path, sharing existing prefixes (used by tests and by
-    * round-boundary rebuilds; within-round growth goes through
-    * mkNode/attach as in Algorithms 1–2).
+  /** Bytes this trie actually holds: both columns of every stored node,
+    * dead prefixes included, plus the dead bitmap.
     */
-  def insertPath(path: Array[Int]): EtNode = {
-    require(path.length == depth, s"path length ${path.length} != depth $depth")
-    var parent: EtNode = null
-    var siblings: mutable.ArrayBuffer[EtNode] = roots
-    var i = 0
-    while (i < path.length) {
-      val v = path(i)
-      val existing = if (siblings == null) None else siblings.find(_.v == v)
-      val node = existing match {
-        case Some(nd) if i < path.length - 1 => nd // never merge into an existing leaf: results are unique
-        case _ =>
-          val nd = mkNode(v, parent)
-          attach(nd)
-          nd
-      }
-      parent = node
-      siblings = node.children
-      i += 1
-    }
-    parent
+  def bytes: Long = verts.iterator.map(_.length * 8L).sum + dead.length * 8L
+}
+
+object EmbeddingTrie {
+  val empty: EmbeddingTrie = new EmbeddingTrie(Array(Array.emptyIntArray), Array(Array.emptyIntArray))
+}
+
+/** One growing trie level: Algorithm 2 appends a node before exploring
+  * below it, and pops it off the end again when nothing below succeeds.
+  */
+private[core] final class LevelBuf {
+  private var vs = new Array[Int](16)
+  private var ps = new Array[Int](16)
+  private var n  = 0
+
+  def append(v: Int, parent: Int): Int = {
+    if (n == vs.length) { vs = java.util.Arrays.copyOf(vs, 2 * n); ps = java.util.Arrays.copyOf(ps, 2 * n) }
+    vs(n) = v; ps(n) = parent; n += 1
+    n - 1
   }
+  def pop(): Unit = n -= 1
+  def verts: Array[Int] = java.util.Arrays.copyOf(vs, n)
+  def parents: Array[Int] = java.util.Arrays.copyOf(ps, n)
 }

@@ -1,9 +1,5 @@
 package repro.core
 
-import org.apache.spark.SparkContext
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
-import java.util.concurrent.atomic.AtomicLong
-
 /** Logical communication cost of one RADS run (deviation D6 in DESIGN.md).
   *
   * Matches the paper's accounting: fetchV requests carry vertex ids (8 B),
@@ -37,14 +33,16 @@ final case class MachineStats(
     sumEtBytes: Long = 0,
     sumElBytes: Long = 0,
     peakEtBytes: Long = 0,
-    peakElBytes: Long = 0) {
+    peakElBytes: Long = 0,
+    peakTrieBytes: Long = 0) {
   def +(o: MachineStats): MachineStats = MachineStats(
     smeCandidates + o.smeCandidates, distCandidates + o.distCandidates,
     smeEmbeddings + o.smeEmbeddings, distEmbeddings + o.distEmbeddings,
     regionGroups + o.regionGroups, fetchedVertices + o.fetchedVertices,
     cacheHits + o.cacheHits, verifyEdges + o.verifyEdges,
     sumEtNodes + o.sumEtNodes, sumEtBytes + o.sumEtBytes, sumElBytes + o.sumElBytes,
-    math.max(peakEtBytes, o.peakEtBytes), math.max(peakElBytes, o.peakElBytes))
+    math.max(peakEtBytes, o.peakEtBytes), math.max(peakElBytes, o.peakElBytes),
+    math.max(peakTrieBytes, o.peakTrieBytes))
 }
 
 /** Full metrics of one RADS run. */
@@ -75,30 +73,3 @@ final case class BaselineMetrics(
     shuffledBytes: Long,
     rounds: Int,
     wallMillis: Long)
-
-/** Measures real Spark shuffle-read bytes between `mark()` calls — the
-  * physically observed counterpart of the logical accounting above.
-  */
-final class ShuffleListener extends SparkListener {
-  private val bytes = new AtomicLong(0)
-  override def onTaskEnd(taskEnd: SparkListenerTaskEnd): Unit = {
-    val m = taskEnd.taskMetrics
-    if (m != null) bytes.addAndGet(m.shuffleReadMetrics.totalBytesRead)
-  }
-  def snapshot(): Long = bytes.get()
-}
-
-object ShuffleListener {
-  /** Run `body` and return (result, approximate shuffle-read bytes). */
-  def measure[T](sc: SparkContext)(body: => T): (T, Long) = {
-    val l = new ShuffleListener
-    sc.addSparkListener(l)
-    try {
-      val before = l.snapshot()
-      val r = body
-      // listener events are async; give the bus a moment to drain
-      Thread.sleep(50)
-      (r, l.snapshot() - before)
-    } finally sc.removeSparkListener(l)
-  }
-}

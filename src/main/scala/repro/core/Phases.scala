@@ -4,13 +4,11 @@ import scala.collection.mutable
 
 /** Pure per-machine R-Meef phase functions (Algorithms 1, 2 and 4).
   *
-  * Every function builds fresh structures from its inputs and never mutates
-  * a previous state (deviation D8), so the surrounding Spark lineage can be
-  * recomputed safely.
+  * No function writes to an input state (deviation D8): expand appends new
+  * trie levels and shares the earlier ones, and filter writes a fresh dead
+  * bitmap, so the surrounding Spark lineage can be recomputed safely.
   */
 object Phases {
-
-  private def edgeKey(a: Int, b: Int): (Int, Int) = (math.min(a, b), math.max(a, b))
 
   /** Init (per machine): candidate set of dp0.piv, border distance, the
     * SM-E split (Prop. 1), SM-E enumeration, and region grouping (Alg. 3).
@@ -66,16 +64,16 @@ object Phases {
     val stats = MachineStats(
       smeCandidates = smeCands.length, distCandidates = distCands.length,
       smeEmbeddings = sme.count, regionGroups = groups.size)
-    new MachineState(mid, groups, new EmbeddingTrie(1),
-      mutable.LinkedHashMap.empty, Map.empty,
-      resultChunks = if (sme.embeddings.nonEmpty) List(sme.embeddings) else Nil,
+    val smeRows = Array.concat(sme.embeddings: _*)
+    new MachineState(mid, groups, EmbeddingTrie.empty, Evi.empty, Map.empty,
+      resultChunks = if (smeRows.nonEmpty) List(new ResultChunk(p.n, smeRows)) else Nil,
       stats = stats)
   }
 
-  /** Expand (Algorithms 1–2): grow every embedding of P_{i-1} into the ECs
-    * of P_i through the pivot's adjacency, building a fresh trie and the
-    * EVI of undetermined edges. For round 0 the sources are the region
-    * group's candidate vertices.
+  /** Expand (Algorithms 1–2): grow every live embedding of P_{i-1} into the
+    * ECs of P_i through the pivot's adjacency, appending unit i's levels to
+    * the trie and recording the EVI of undetermined edges. For round 0 the
+    * sources are the region group's candidate vertices.
     */
   def expand(
       ctx: PlanCtx,
@@ -94,10 +92,10 @@ object Phases {
 
     val piv     = ctx.pivOf(i)
     val leaves  = ctx.unitLeaves(i)
-    val newTrie = new EmbeddingTrie(ctx.depths(i))
-    val evi     = mutable.LinkedHashMap[(Int, Int), mutable.ArrayBuffer[EtNode]]()
+    val lv      = Array.fill(leaves.size)(new LevelBuf)
+    val eviKey  = Array.newBuilder[Long]
+    val eviLeaf = Array.newBuilder[Int]
     val f       = Array.fill(p.n)(-1)
-    val used    = mutable.HashSet[Int]()
     var cacheHits = 0L
 
     // status of a data edge: Some(exists) if decidable locally, None otherwise
@@ -110,14 +108,25 @@ object Phases {
       }
     }
 
-    /** Algorithm 2 over the leaves of unit i, below `parent` in the new trie. */
-    def adjEnum(k: Int, parent: EtNode, pivAdj: Array[Int]): Boolean = {
+    // injectivity: is v already some pattern vertex's image? Patterns have
+    // at most 10 vertices, so scanning f beats a set.
+    def mapped(v: Int): Boolean = {
+      var q = 0
+      while (q < f.length && f(q) != v) q += 1
+      q < f.length
+    }
+
+    /** Algorithm 2 over the leaves of unit i, below node `parent` of the
+      * previous level: append each candidate, and pop it off again when
+      * nothing below it succeeds.
+      */
+    def adjEnum(k: Int, parent: Int, pivAdj: Array[Int]): Boolean = {
       val u = leaves(k)
       var any = false
       var ci = 0
       while (ci < pivAdj.length) {
         val v = pivAdj(ci)
-        var ok = !used.contains(v)
+        var ok = !mapped(v)
         if (ok) { // candidate-level degree filter when adjacency is known
           val av = adjOrNull(v)
           if (av != null && av.length < p.degree(u)) ok = false
@@ -129,58 +138,52 @@ object Phases {
           f(u2) == -1 || !edgeStatus(v, f(u2)).contains(false)
         }
         if (ok) {
-          f(u) = v; used += v
-          val node = newTrie.mkNode(v, parent)
+          f(u) = v
+          val node = lv(k).append(v, parent)
           if (k == leaves.size - 1) {
             // EC of P_i complete: register its undetermined edges (Def. 4)
             ctx.unitVerifEdges(i).foreach { case (a, b) =>
-              if (edgeStatus(f(a), f(b)).isEmpty)
-                evi.getOrElseUpdate(edgeKey(f(a), f(b)), mutable.ArrayBuffer()) += node
+              if (edgeStatus(f(a), f(b)).isEmpty) { eviKey += Evi.pack(f(a), f(b)); eviLeaf += node }
             }
-            newTrie.attach(node); any = true
-          } else if (adjEnum(k + 1, node, pivAdj)) {
-            newTrie.attach(node); any = true
-          }
-          f(u) = -1; used -= v
+            any = true
+          } else if (adjEnum(k + 1, node, pivAdj)) any = true
+          else lv(k).pop()
+          f(u) = -1
         }
         ci += 1
       }
       any
     }
 
+    val roots = new LevelBuf
     if (i == 0) {
       val cands = if (g < st.groups.size) st.groups(g) else Vector.empty
       cands.foreach { v =>
-        f(piv) = v; used += v
-        val root = newTrie.mkNode(v, null)
-        if (adjEnum(0, root, block.adj(v))) newTrie.attach(root)
-        f(piv) = -1; used -= v
+        f(piv) = v
+        val root = roots.append(v, -1)
+        if (!adjEnum(0, root, block.adj(v))) roots.pop()
+        f(piv) = -1
       }
     } else {
-      // DFS-copy the old trie; at old leaves, expand unit i below the copy.
-      def copyExpand(oldNode: EtNode, newParent: EtNode, level: Int): Boolean = {
-        val u = ctx.morder(level)
-        f(u) = oldNode.v; used += oldNode.v
-        val copy    = newTrie.mkNode(oldNode.v, newParent)
-        var success = false
-        if (level == st.trie.depth - 1) {
-          val vPiv = f(piv)
-          val pivAdj = adjOrNull(vPiv)
-          if (pivAdj != null) {
-            if (owner(vPiv) != mid && st.cache.contains(vPiv)) cacheHits += 1
-            success = adjEnum(0, copy, pivAdj)
-          }
-          // pivAdj == null can only happen if a fetch failed; drop the branch
-        } else if (oldNode.children != null) {
-          oldNode.children.foreach { c => if (copyExpand(c, copy, level + 1)) success = true }
+      // Rebuild f for each live leaf by walking parent indices, stopping
+      // where the path meets the previous leaf's; expand unit i below it.
+      val t  = st.trie
+      val at = Array.fill(t.depth)(-1) // node of the previous leaf's path, per level
+      t.leaves.foreach { leaf =>
+        var l = t.depth - 1; var j = leaf
+        while (l >= 0 && at(l) != j) { at(l) = j; f(ctx.morder(l)) = t.verts(l)(j); j = t.parents(l)(j); l -= 1 }
+        val vPiv   = f(piv)
+        val pivAdj = adjOrNull(vPiv)
+        // pivAdj == null can only happen if a fetch failed; drop the branch
+        if (pivAdj != null) {
+          if (owner(vPiv) != mid && st.cache.contains(vPiv)) cacheHits += 1
+          adjEnum(0, leaf, pivAdj)
         }
-        if (success) newTrie.attach(copy)
-        f(u) = -1; used -= oldNode.v
-        success
       }
-      st.trie.roots.foreach(r => copyExpand(r, null, 0))
     }
 
+    val (vs, ps) = if (i == 0) (Array(roots.verts), Array(roots.parents)) else (st.trie.verts, st.trie.parents)
+    val newTrie  = new EmbeddingTrie(vs ++ lv.map(_.verts), ps ++ lv.map(_.parents))
     val stats = st.stats.copy(
       fetchedVertices = st.stats.fetchedVertices + fetched.size,
       cacheHits = st.stats.cacheHits + cacheHits,
@@ -188,13 +191,15 @@ object Phases {
       sumEtBytes = st.stats.sumEtBytes + newTrie.etBytes,
       sumElBytes = st.stats.sumElBytes + newTrie.elBytes,
       peakEtBytes = math.max(st.stats.peakEtBytes, newTrie.etBytes),
-      peakElBytes = math.max(st.stats.peakElBytes, newTrie.elBytes))
-    new MachineState(mid, st.groups, newTrie, evi, cache, st.resultChunks, stats)
+      peakElBytes = math.max(st.stats.peakElBytes, newTrie.elBytes),
+      peakTrieBytes = math.max(st.stats.peakTrieBytes, newTrie.bytes))
+    new MachineState(mid, st.groups, newTrie, new Evi(eviKey.result(), eviLeaf.result()), cache,
+      st.resultChunks, stats)
   }
 
-  /** Verify & filter: drop every EC sharing a failed undetermined edge
-    * (Prop. 2), rebuilding the trie without the failed leaves; on the final
-    * round, harvest the surviving embeddings into a result chunk.
+  /** Verify & filter: remove every EC sharing a failed undetermined edge
+    * (Prop. 2) by marking its leaf dead; on the final round, harvest the
+    * surviving embeddings into a result chunk.
     */
   def filter(
       ctx: PlanCtx,
@@ -202,37 +207,26 @@ object Phases {
       failedEdges: Set[(Int, Int)],
       harvest: Boolean): MachineState = {
 
-    val failedLeaves = java.util.Collections.newSetFromMap(
-      new java.util.IdentityHashMap[EtNode, java.lang.Boolean]())
-    failedEdges.foreach(key => st.evi.get(key).foreach(_.foreach(failedLeaves.add)))
-
-    val newTrie = new EmbeddingTrie(st.trie.depth)
-    def copy(oldNode: EtNode, newParent: EtNode, level: Int): Boolean = {
-      if (level == st.trie.depth - 1 && failedLeaves.contains(oldNode)) return false
-      val c = newTrie.mkNode(oldNode.v, newParent)
-      var keep = level == st.trie.depth - 1
-      if (!keep && oldNode.children != null)
-        oldNode.children.foreach { ch => if (copy(ch, c, level + 1)) keep = true }
-      if (keep) newTrie.attach(c)
-      keep
-    }
-    st.trie.roots.foreach(r => copy(r, null, 0))
-
-    val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.size)
+    val trie     = st.trie.without(st.evi.leavesOn(failedEdges))
+    val verified = st.stats.copy(
+      verifyEdges = st.stats.verifyEdges + st.evi.size,
+      peakTrieBytes = math.max(st.stats.peakTrieBytes, trie.bytes))
     if (!harvest)
-      new MachineState(st.mid, st.groups, newTrie, mutable.LinkedHashMap.empty, st.cache,
-        st.resultChunks, verified)
+      new MachineState(st.mid, st.groups, trie, Evi.empty, st.cache, st.resultChunks, verified)
     else {
       // convert matching-order paths to query-vertex-indexed embeddings
-      val chunk = newTrie.results.map { path =>
-        val out = new Array[Int](ctx.pattern.n)
-        var lvl = 0
-        while (lvl < path.length) { out(ctx.morder(lvl)) = path(lvl); lvl += 1 }
-        out
-      }.toVector
+      val n    = ctx.pattern.n
+      val rows = new Array[Int](trie.resultCount.toInt * n)
+      var r = 0
+      trie.leaves.foreach { leaf =>
+        var l = trie.depth - 1; var j = leaf
+        while (l >= 0) { rows(r * n + ctx.morder(l)) = trie.verts(l)(j); j = trie.parents(l)(j); l -= 1 }
+        r += 1
+      }
+      val chunk = new ResultChunk(n, rows)
       val stats = verified.copy(distEmbeddings = verified.distEmbeddings + chunk.size)
-      new MachineState(st.mid, st.groups, new EmbeddingTrie(1), mutable.LinkedHashMap.empty,
-        st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
+      new MachineState(st.mid, st.groups, EmbeddingTrie.empty, Evi.empty,
+        st.cache, if (chunk.size > 0) chunk :: st.resultChunks else st.resultChunks, stats)
     }
   }
 }

@@ -67,34 +67,38 @@ object PlanCtx {
   }
 }
 
-/** Per-machine R-Meef state. Phases never mutate a previous state's
-  * structures (DESIGN.md deviation D8): each phase builds a fresh trie, so
-  * Spark lineage recomputation is always safe.
+/** Embeddings of one harvest or of SM-E, `width` ints per row, each row
+  * indexed by query vertex.
+  */
+final class ResultChunk(val width: Int, val rows: Array[Int]) extends Serializable {
+  def size: Int = rows.length / width
+  def iterator: Iterator[Array[Int]] = rows.grouped(width)
+}
+
+/** Per-machine R-Meef state, held in primitive columns so that caching it
+  * costs O(arrays). Phases never write a previous state's structures
+  * (DESIGN.md deviation D8), so Spark lineage recomputation is always safe.
   */
 final class MachineState(
     val mid: Int,
     val groups: Vector[Vector[Int]],
     val trie: EmbeddingTrie,
-    val evi: mutable.LinkedHashMap[(Int, Int), mutable.ArrayBuffer[EtNode]],
+    val evi: Evi,
     val cache: Map[Int, Array[Int]],
-    val resultChunks: List[Vector[Array[Int]]],
+    val resultChunks: List[ResultChunk],
     val stats: MachineStats) extends Serializable {
 
   /** Distinct foreign, uncached pivot images to fetch for round `i` —
     * the paper's single batched fetchV request (§3.2 Expand).
     */
   def pendingFetch(ctx: PlanCtx, i: Int, owner: Array[Int]): Iterator[Int] = {
-    val piv = ctx.pivOf(i)
-    val posPiv = ctx.pos(piv)
-    val out = mutable.LinkedHashSet[Int]()
-    trie.leaves.foreach { leaf =>
-      val v = trie.pathOf(leaf)(posPiv)
-      if (owner(v) != mid && !cache.contains(v)) out += v
-    }
-    out.iterator
+    val level = ctx.pos(ctx.pivOf(i))
+    val live  = trie.liveMasks(level)
+    val vs    = trie.verts(level)
+    vs.indices.iterator.collect { case j if live(j) && owner(vs(j)) != mid && !cache.contains(vs(j)) => vs(j) }.distinct
   }
 
-  def eviKeys: Iterator[(Int, Int)] = evi.keysIterator
+  def eviKeys: Iterator[(Int, Int)] = evi.keys.iterator.map(Evi.unpack)
 }
 
 /** Result of one RADS run. */
@@ -216,9 +220,10 @@ object RMeefEngine {
     }
 
     // ---- gather ----
-    val resultsRdd = state.flatMap(_._2.resultChunks.iterator.flatten)
-    val count      = resultsRdd.count()
-    val embeddings = if (keepEmbeddings) resultsRdd.collect().toVector else Vector.empty
+    val count      = state.map(_._2.resultChunks.iterator.map(_.size.toLong).sum).reduce(_ + _)
+    val embeddings =
+      if (keepEmbeddings) state.flatMap(_._2.resultChunks.iterator.flatMap(_.iterator)).collect().toVector
+      else Vector.empty
     val stats      = state.map(_._2.stats).reduce(_ + _)
     state.unpersist(blocking = false)
     adjRdd.unpersist(blocking = false)

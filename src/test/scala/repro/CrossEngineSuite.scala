@@ -2,7 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.baselines.{PSgL, TwinTwig}
-import repro.core.{EmbeddingTrie, LocalEnum, Rads}
+import repro.core.{EmbeddingTrieSuite, LocalEnum, Rads}
 import repro.graph.{GraphGen, PartitionedGraph}
 import repro.query.{Automorphism, Queries}
 
@@ -68,14 +68,12 @@ class CrossEngineSuite extends SparkSpec {
     val genPaths = Gen.listOfN(30,
       Gen.listOfN(4, Gen.choose(0, 50)).map(_.toArray)).map(_.map(_.toSeq).distinct.map(_.toArray))
     checkProp(Prop.forAll(genPaths, Gen.choose(0, 29)) { (paths, dropCount) =>
-      val t = new EmbeddingTrie(4)
-      paths.foreach(t.insertPath)
+      val t0 = EmbeddingTrieSuite.trieOf(4, paths)
       val toDrop = paths.take(math.min(dropCount, paths.size))
-      toDrop.foreach { p =>
-        t.leaves.find(l => t.pathOf(l).sameElements(p)).foreach(t.removeLeaf)
-      }
+      val t = t0.without(toDrop.iterator.map(p => EmbeddingTrieSuite.leafOf(t0, p.toSeq)))
       val remaining = paths.drop(math.min(dropCount, paths.size)).map(_.toSeq).toSet
-      t.results.map(_.toSeq).toSet == remaining
+      t.results.map(_.toSeq).toSet == remaining &&
+        t.nodeCount == remaining.flatMap(p => (1 to 4).map(p.take)).size
     }, 30)
   }
 

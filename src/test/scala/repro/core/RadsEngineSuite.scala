@@ -113,6 +113,14 @@ class RadsEngineSuite extends SparkSpec {
       s"et=${m.sumEtBytes} el=${m.sumElBytes}")
   }
 
+  test("metrics: real trie bytes cover the paper model's peak live nodes at 8 B each") {
+    val pg  = PartitionedGraph.metis(pl, 3, seed = 9)
+    val run = Rads.enumerate(spark, pg, Queries.q5, Rads.Config(keepEmbeddings = false))
+    val m   = run.metrics.machines
+    assert(m.peakEtBytes > 0)
+    assert(m.peakTrieBytes >= 8L * (m.peakEtBytes / 20), s"trie=${m.peakTrieBytes} et=${m.peakEtBytes}")
+  }
+
   test("RanS and RanM plans produce the same result set") {
     val pg = PartitionedGraph.metis(pl, 3, seed = 10)
     val q  = Queries.q4
