@@ -121,19 +121,23 @@ object Crystal {
     }
 
     var shuffled = 0L
-    val df = JoinEnum.extend(edges, p, sb, seedDf, clique,
-      onStep = (d, _) => {
-        val c = d.persist().count() // each MR round of the crystal join
-        if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-        shuffled += c
-      })
-    val out   = df.persist()
-    val count = out.count()
-    shuffled += count
-    edges.unpersist(blocking = false)
-    Run(out, count,
-      BaselineMetrics("Crystal", shuffled, shuffled * p.n * 8L, p.n - clique.size,
-        System.currentTimeMillis() - t0),
-      clique.size, buds.size)
+    var prev = Option.empty[DataFrame] // the last round, released once the next is counted
+    try {
+      val df = JoinEnum.extend(edges, p, sb, seedDf, clique,
+        onStep = (d, _) => {
+          val c = d.persist().count() // each MR round of the crystal join
+          prev.foreach(_.unpersist())
+          prev = Some(d)
+          if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
+          shuffled += c
+        })
+      val (out, count) = UnitJoins.persistResult(p, df, prev)
+      shuffled += count
+      Run(out, count,
+        BaselineMetrics("Crystal", shuffled, shuffled * p.n * 8L, p.n - clique.size,
+          System.currentTimeMillis() - t0),
+        clique.size, buds.size)
+    } catch { case e: Throwable => prev.foreach(_.unpersist()); throw e }
+    finally edges.unpersist(blocking = false)
   }
 }

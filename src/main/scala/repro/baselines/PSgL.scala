@@ -41,32 +41,36 @@ object PSgL {
     }
     applySb()
 
-    ord.drop(1).foreach { u =>
-      val nbrs  = p.neighbors(u).filter(seen.contains).toVector
-      val first = nbrs.head
-      // partials are shuffled to the machine owning f(first)'s adjacency
-      df = df
-        .join(adj.select(col("vid").as("_pv"), explode(col("nbrs")).as(s"v$u")),
-          col(s"v$first") === col("_pv"))
-        .drop("_pv")
-      nbrs.tail.foreach { other =>
-        val e2 = edges.select(col("src").as("_fs"), col("dst").as("_fd"))
-        df = df.join(e2, col(s"v$u") === col("_fs") && col(s"v$other") === col("_fd"), "left_semi")
+    var prev = Option.empty[DataFrame] // the last superstep, released once the next is counted
+    try {
+      ord.drop(1).foreach { u =>
+        val nbrs  = p.neighbors(u).filter(seen.contains).toVector
+        val first = nbrs.head
+        // partials are shuffled to the machine owning f(first)'s adjacency
+        df = df
+          .join(adj.select(col("vid").as("_pv"), explode(col("nbrs")).as(s"v$u")),
+            col(s"v$first") === col("_pv"))
+          .drop("_pv")
+        nbrs.tail.foreach { other =>
+          val e2 = edges.select(col("src").as("_fs"), col("dst").as("_fd"))
+          df = df.join(e2, col(s"v$u") === col("_fs") && col(s"v$other") === col("_fd"), "left_semi")
+        }
+        seen.foreach(w => df = df.where(col(s"v$u") =!= col(s"v$w")))
+        seen += u
+        applySb()
+        df = df.persist()
+        val c = df.count() // one superstep: partials materialize and move
+        prev.foreach(_.unpersist())
+        prev = Some(df)
+        if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
+        shuffledTuples += c
+        shuffledBytes  += c * seen.size * 8L
       }
-      seen.foreach(w => df = df.where(col(s"v$u") =!= col(s"v$w")))
-      seen += u
-      applySb()
-      df = df.persist()
-      val c = df.count() // one superstep: partials materialize and move
-      if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-      shuffledTuples += c
-      shuffledBytes  += c * seen.size * 8L
-    }
 
-    val out   = df.select((0 until p.n).map(i => col(s"v$i")): _*).persist()
-    val count = out.count()
-    adj.unpersist(blocking = false)
-    Run(out, count,
-      BaselineMetrics("PSgL", shuffledTuples, shuffledBytes, p.n - 1, System.currentTimeMillis() - t0))
+      val (out, count) = UnitJoins.persistResult(p, df, prev)
+      Run(out, count,
+        BaselineMetrics("PSgL", shuffledTuples, shuffledBytes, p.n - 1, System.currentTimeMillis() - t0))
+    } catch { case e: Throwable => prev.foreach(_.unpersist()); throw e }
+    finally adj.unpersist(blocking = false)
   }
 }

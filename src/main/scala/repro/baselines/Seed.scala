@@ -88,10 +88,9 @@ object Seed {
       case StarUnit(piv, lf) =>
         (s"star($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
     }
-    val (df, tuples, bytes) = UnitJoins.foldJoin(spark, p, sb, unitDfs.toVector, maxIntermediate)
-    val out   = df.persist()
-    val count = out.count()
-    edges.unpersist(blocking = false)
+    val (out, count, tuples, bytes) =
+      try UnitJoins.foldJoin(spark, p, sb, unitDfs.toVector, maxIntermediate)
+      finally edges.unpersist(blocking = false)
     Run(out, count,
       BaselineMetrics("SEED", tuples, bytes, units.size, System.currentTimeMillis() - t0))
   }

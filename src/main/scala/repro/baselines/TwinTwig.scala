@@ -54,10 +54,9 @@ object TwinTwig {
     val unitDfs = units.map { case (piv, lf) =>
       (s"twig($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
     }
-    val (df, tuples, bytes) = UnitJoins.foldJoin(spark, p, sb, unitDfs, maxIntermediate)
-    val out   = df.persist()
-    val count = out.count()
-    edges.unpersist(blocking = false)
+    val (out, count, tuples, bytes) =
+      try UnitJoins.foldJoin(spark, p, sb, unitDfs, maxIntermediate)
+      finally edges.unpersist(blocking = false)
     Run(out, count,
       BaselineMetrics("TwinTwig", tuples, bytes, units.size, System.currentTimeMillis() - t0))
   }

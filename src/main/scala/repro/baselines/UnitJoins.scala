@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.query.Pattern
 import scala.collection.mutable
 
@@ -51,32 +52,41 @@ object UnitJoins {
   /** Left-deep fold join of unit-match DataFrames with injectivity and
     * symmetry breaking applied as soon as their columns exist.
     *
+    * Each unit and intermediate is persisted to be counted, and released
+    * once the intermediate built from it has been counted. Spark's cache
+    * matches plans up to column names, so a unit equal to a frame already
+    * cached (a one-edge twig is the edge table) is neither persisted again
+    * nor released here.
+    *
     * @param units (label, matchDf, vertices) — consecutive units must share
     *              at least one vertex with the accumulated set
-    * @return (result, shuffledTuples, shuffledBytes) where the shuffled
-    *         volume counts every unit input and every intermediate join
-    *         output (the MapReduce rounds of TwinTwig/SEED)
+    * @return (result, count, shuffledTuples, shuffledBytes): the result has
+    *         columns `v0..v{n-1}` and is persisted and counted, and the
+    *         caller unpersists it; the shuffled volume counts every unit
+    *         input and every intermediate join output (the MapReduce rounds
+    *         of TwinTwig/SEED)
     */
   def foldJoin(
       spark: SparkSession,
       p: Pattern,
       sb: Seq[(Int, Int)],
       units: Vector[(String, DataFrame, Vector[Int])],
-      maxIntermediate: Long = Long.MaxValue): (DataFrame, Long, Long) = {
+      maxIntermediate: Long = Long.MaxValue): (DataFrame, Long, Long, Long) = {
     var shuffledTuples = 0L
     var shuffledBytes  = 0L
+    val held = mutable.ArrayBuffer[DataFrame]()
+    def release(dfs: DataFrame*): Unit = dfs.filter(held.contains).foreach { d => d.unpersist(); held -= d }
     def account(df: DataFrame, width: Int): DataFrame = {
-      val cached = df.persist()
-      val c = cached.count()
+      if (df.storageLevel == StorageLevel.NONE) held += df.persist()
+      val c = df.count()
       if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
       shuffledTuples += c
       shuffledBytes  += c * width * 8L
-      cached
+      df
     }
 
     val sbLeft = mutable.ArrayBuffer.from(sb)
     val mapped = mutable.ArrayBuffer.from(units.head._3)
-    var df     = account(units.head._2, mapped.size)
     def applySb(d0: DataFrame): DataFrame = {
       var d = d0
       val ready = sbLeft.filter { case (a, b) => mapped.contains(a) && mapped.contains(b) }
@@ -84,27 +94,49 @@ object UnitJoins {
       sbLeft --= ready
       d
     }
-    df = applySb(df)
 
-    units.tail.foreach { case (_, unitDf, vs) =>
-      val shared = vs.filter(mapped.contains)
-      require(shared.nonEmpty, "unit join needs a shared vertex")
-      val fresh  = vs.filterNot(mapped.contains)
-      account(unitDf, vs.size)
-      // rename the unit's shared columns, join on equality
-      var u = unitDf
-      shared.foreach(s => u = u.withColumnRenamed(s"v$s", s"_j$s"))
-      val cond = shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _)
-      df = df.join(u, cond)
-      shared.foreach(s => df = df.drop(s"_j$s"))
-      fresh.foreach { f => mapped.foreach { w => if (w != f) df = df.where(col(s"v$f") =!= col(s"v$w")) } }
-      for (i <- fresh.indices; j <- 0 until i)
-        df = df.where(col(s"v${fresh(i)}") =!= col(s"v${fresh(j)}"))
-      mapped ++= fresh
-      df = applySb(df)
-      df = account(df, mapped.size)
-    }
-    require(mapped.toSet == (0 until p.n).toSet, "units must cover the pattern")
-    (df.select((0 until p.n).map(i => col(s"v$i")): _*), shuffledTuples, shuffledBytes)
+    try {
+      var prev = account(units.head._2, mapped.size)
+      var df   = applySb(prev)
+      units.tail.foreach { case (_, unitDf, vs) =>
+        val shared = vs.filter(mapped.contains)
+        require(shared.nonEmpty, "unit join needs a shared vertex")
+        val fresh  = vs.filterNot(mapped.contains)
+        val unit   = account(unitDf, vs.size)
+        // rename the unit's shared columns, join on equality
+        var u = unit
+        shared.foreach(s => u = u.withColumnRenamed(s"v$s", s"_j$s"))
+        val cond = shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _)
+        df = df.join(u, cond)
+        shared.foreach(s => df = df.drop(s"_j$s"))
+        fresh.foreach { f => mapped.foreach { w => if (w != f) df = df.where(col(s"v$f") =!= col(s"v$w")) } }
+        for (i <- fresh.indices; j <- 0 until i)
+          df = df.where(col(s"v${fresh(i)}") =!= col(s"v${fresh(j)}"))
+        mapped ++= fresh
+        df = applySb(df)
+        df = account(df, mapped.size)
+        release(prev, unit)
+        prev = df
+      }
+      require(mapped.toSet == (0 until p.n).toSet, "units must cover the pattern")
+      val (out, count) = persistResult(p, df, Some(prev).filter(held.contains))
+      (out, count, shuffledTuples, shuffledBytes)
+    } catch { case e: Throwable => release(held.toSeq: _*); throw e }
+  }
+
+  /** Persists and counts `df` with its columns in query-vertex order
+    * (`v0..v{n-1}`), then releases `last`, the persisted frame `df` was
+    * computed from. Spark's cache takes a select that keeps the column order
+    * for `last` itself; the result then shares `last`'s cache, which stays.
+    *
+    * @return (result, count); the caller unpersists the result
+    */
+  def persistResult(p: Pattern, df: DataFrame, last: Option[DataFrame]): (DataFrame, Long) = {
+    val out    = df.select((0 until p.n).map(i => col(s"v$i")): _*)
+    val shared = out.storageLevel != StorageLevel.NONE
+    if (!shared) out.persist()
+    val count = out.count()
+    if (!shared) last.foreach(_.unpersist())
+    (out, count)
   }
 }

@@ -112,13 +112,26 @@ final case class RadsRun(
   *
   * Layout: `m` logical machines == `m` RDD partitions. Per-machine state
   * (embedding trie, EVI, foreign-vertex cache) lives in an
-  * `RDD[(mid, MachineState)]` partitioned by [[MidPartitioner]]; the
-  * adjacency blocks live in a co-partitioned `RDD[(mid, AdjBlock)]`. Each
-  * round performs at most two small shuffles — the `fetchV` and `verifyE`
-  * request/response cycles — while the intermediate results never move,
-  * which is the paper's central claim against the join-based systems.
+  * `RDD[(mid, MachineState)]` whose partition t is machine t; the adjacency
+  * blocks live in an `RDD[(mid, AdjBlock)]` partitioned by
+  * [[MidPartitioner]], and every phase zips the two partition by partition.
+  * Each round performs at most two small shuffles — the `fetchV` and
+  * `verifyE` request/response cycles — while the intermediate results never
+  * move, which is the paper's central claim against the join-based systems.
+  *
+  * Jobs: one for init, which also reports the largest number of region
+  * groups on a machine, then one per region group. A group's rounds form one
+  * lineage in which every fetchV and verifyE shuffle is a stage barrier, so
+  * the machines stay in lock-step with no Spark action between rounds. The
+  * group's single action reduces (result count, stats) over its
+  * final state. Every round's state is persisted, because both a request
+  * shuffle and the next zip read it, and released once the group's action
+  * has run: only one region group's tries are held at a time (§6). Keeping
+  * embeddings adds one `collect` job at the end.
   */
 object RMeefEngine {
+
+  private type States = RDD[(Int, MachineState)]
 
   def run(
       spark: SparkSession,
@@ -141,96 +154,103 @@ object RMeefEngine {
     val verReqB    = sc.longAccumulator("verifyReqBytes")
     val verRespB   = sc.longAccumulator("verifyRespBytes")
 
-    val adjRdd: RDD[(Int, AdjBlock)] = sc
+    // Persisted RDDs this run still holds; all are released before it returns.
+    val held = mutable.ArrayBuffer[RDD[_]]()
+    def keep[T](rdd: RDD[T]): RDD[T] = { held += rdd.persist(StorageLevel.MEMORY_ONLY); rdd }
+    def release(rdds: Iterable[RDD[_]]): Unit = {
+      rdds.foreach(_.unpersist(blocking = false)); held --= rdds
+    }
+
+    val adjRdd: RDD[(Int, AdjBlock)] = keep(sc
       .parallelize((0 until m).map(t => (t, AdjBlock(t, pg.adjBlock(t)))), m)
-      .partitionBy(part)
-      .persist(StorageLevel.MEMORY_ONLY)
-    adjRdd.count()
+      .partitionBy(part))
 
-    def emptyResp[T: scala.reflect.ClassTag]: RDD[(Int, T)] =
-      sc.parallelize(Seq.empty[(Int, T)], m).partitionBy(part)
+    /** Runs `action` as a job described "<query> <what>", then restores the
+      * caller's description.
+      */
+    def labelled[A](what: String)(action: => A): A = {
+      val prev = sc.getLocalProperty("spark.job.description")
+      sc.setJobDescription(s"${ctx.pattern.name} $what")
+      try action finally sc.setJobDescription(prev)
+    }
 
-    // ---- init: candidates, border distance, SM-E, region groups ----
-    var state: RDD[(Int, MachineState)] = sc
-      .parallelize((0 until m).map(t => (t, t)), m)
-      .partitionBy(part)
-      .zipPartitions(adjRdd) { (tIter, aIter) =>
-        val mid   = tIter.next()._1
+    /** One action over a state: (largest group count, result count, stats). */
+    def summary(state: States): (Int, Long, MachineStats) =
+      state.map { case (_, st) => (st.groups.size, st.resultChunks.iterator.map(_.size.toLong).sum, st.stats) }
+        .reduce { case ((g1, c1, s1), (g2, c2, s2)) => (math.max(g1, g2), c1 + c2, s1 + s2) }
+
+    // -- fetchV cycle: each machine's batched request, answered by the owners --
+    def fetchResp(state: States, i: Int): RDD[(Int, (Int, Array[Int]))] = {
+      val reqs = state.flatMap { case (mid, st) =>
+        st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
+      }
+      reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
         val block = aIter.next()._2
-        Iterator((mid, Phases.init(ctx, mid, block, ownerBc.value, budgetBytes, smeEnabled, seed)))
-      }
-      .persist(StorageLevel.MEMORY_ONLY)
-    val maxGroups = state.map(_._2.groups.size).reduce(math.max)
-
-    def materialize(next: RDD[(Int, MachineState)]): RDD[(Int, MachineState)] = {
-      val persisted = next.persist(StorageLevel.MEMORY_ONLY)
-      persisted.count()
-      state.unpersist(blocking = false)
-      persisted
+        rIter.map { case (_, (reqMid, v)) =>
+          fetchReqB.add(8)
+          val nb = block.adj.getOrElse(v, Array.empty[Int])
+          fetchRespB.add(8L * (1 + nb.length))
+          (reqMid, (v, nb))
+        }
+      }.partitionBy(part)
     }
 
-    for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
-      // -- fetchV cycle (rounds > 0; round 0 pivots are local by construction) --
-      val fetchResp: RDD[(Int, (Int, Array[Int]))] =
-        if (i == 0) emptyResp[(Int, Array[Int])]
-        else {
-          val reqs = state.flatMap { case (mid, st) =>
-            st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
-          }
-          reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
-            val block = aIter.next()._2
-            rIter.map { case (_, (reqMid, v)) =>
-              fetchReqB.add(8)
-              val nb = block.adj.getOrElse(v, Array.empty[Int])
-              fetchRespB.add(8L * (1 + nb.length))
-              (reqMid, (v, nb))
-            }
-          }.partitionBy(part)
-        }
-
-      // -- expand: build ECs of P_i into a fresh trie + EVI --
-      state = materialize(
-        state.zipPartitions(adjRdd, fetchResp) { (sIter, aIter, rIter) =>
-          val (mid, st) = sIter.next()
-          val block     = aIter.next()._2
-          val fetched   = rIter.map { case (_, (v, nb)) => v -> nb }.toMap
-          Iterator((mid, Phases.expand(ctx, st, block, fetched, ownerBc.value, g, i)))
-        })
-
-      // -- verifyE cycle + filter (and harvest on the final round) --
-      val verResp: RDD[(Int, ((Int, Int), Boolean))] = {
-        val reqs = state.flatMap { case (mid, st) =>
-          st.eviKeys.map { case (a, b) => (ownerBc.value(a), (mid, a, b)) }
-        }
-        reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
-          val block = aIter.next()._2
-          rIter.map { case (_, (reqMid, a, b)) =>
-            verReqB.add(16); verRespB.add(1)
-            (reqMid, ((a, b), block.hasEdge(a, b)))
-          }
-        }.partitionBy(part)
+    // -- verifyE cycle: every EVI key, answered by its first endpoint's owner --
+    def verifyResp(state: States): RDD[(Int, ((Int, Int), Boolean))] = {
+      val reqs = state.flatMap { case (mid, st) =>
+        st.eviKeys.map { case (a, b) => (ownerBc.value(a), (mid, a, b)) }
       }
-      val lastRound = i == ctx.numRounds - 1
-      state = materialize(
-        state.zipPartitions(verResp) { (sIter, rIter) =>
-          val (mid, st) = sIter.next()
-          val failed = rIter.collect { case (_, (key, exists)) if !exists => key }.toSet
-          Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
-        })
+      reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
+        val block = aIter.next()._2
+        rIter.map { case (_, (reqMid, a, b)) =>
+          verReqB.add(16); verRespB.add(1)
+          (reqMid, ((a, b), block.hasEdge(a, b)))
+        }
+      }.partitionBy(part)
     }
 
-    // ---- gather ----
-    val count      = state.map(_._2.resultChunks.iterator.map(_.size.toLong).sum).reduce(_ + _)
-    val embeddings =
-      if (keepEmbeddings) state.flatMap(_._2.resultChunks.iterator.flatMap(_.iterator)).collect().toVector
-      else Vector.empty
-    val stats      = state.map(_._2.stats).reduce(_ + _)
-    state.unpersist(blocking = false)
-    adjRdd.unpersist(blocking = false)
-    ownerBc.destroy()
+    try {
+      // ---- init: candidates, border distance, SM-E, region groups ----
+      var state: States = keep(adjRdd.mapValues(block =>
+        Phases.init(ctx, block.mid, block, ownerBc.value, budgetBytes, smeEnabled, seed)))
+      var result = labelled("init")(summary(state))
+      val maxGroups = result._1
 
-    val comm = CommStats(fetchReqB.value, fetchRespB.value, verReqB.value, verRespB.value)
-    RadsRun(count, embeddings,
-      RadsMetrics(comm, stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
+      for (g <- 0 until maxGroups) {
+        for (i <- 0 until ctx.numRounds) {
+          // -- expand: build ECs of P_i into the trie + EVI (round-0 pivots are local) --
+          def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
+                     fetched: Map[Int, Array[Int]]) = {
+            val (mid, st) = sIter.next()
+            Iterator((mid, Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)))
+          }
+          val expanded = keep(
+            if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
+            else state.zipPartitions(adjRdd, fetchResp(state, i))((s, a, r) => expand(s, a, r.map(_._2).toMap)))
+          // -- verifyE + filter (and harvest on the final round) --
+          val lastRound = i == ctx.numRounds - 1
+          state = keep(expanded.zipPartitions(verifyResp(expanded)) { (sIter, rIter) =>
+            val (mid, st) = sIter.next()
+            val failed = rIter.collect { case (_, (key, exists)) if !exists => key }.toSet
+            Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
+          })
+        }
+        result = labelled(s"g=$g")(summary(state))
+        release(held.filterNot(r => (r eq adjRdd) || (r eq state)))
+      }
+
+      // ---- gather ----
+      val embeddings =
+        if (keepEmbeddings)
+          labelled("gather")(state.flatMap(_._2.resultChunks.iterator.flatMap(_.iterator)).collect().toVector)
+        else Vector.empty
+      val comm = CommStats(fetchReqB.value, fetchRespB.value, verReqB.value, verRespB.value)
+      val (_, count, stats) = result
+      RadsRun(count, embeddings,
+        RadsMetrics(comm, stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
+    } finally {
+      release(held.toVector)
+      ownerBc.destroy()
+    }
   }
 }
