@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.nio.file.Files
 import repro.SparkSpec
-import repro.core.LocalEnum
+import repro.core.{BaselineMetrics, IntermediateOverflowException, LocalEnum}
 import repro.graph.{GraphGen, PartitionedGraph}
 import repro.query.{Automorphism, Queries}
 
@@ -50,6 +50,51 @@ class BaselineEnginesSuite extends SparkSpec {
       val run = Crystal.run(spark, pg, q, Automorphism.symmetryBreaking(q), index)
       assert(canonDf(run.df) == refSet(q))
       run.df.unpersist()
+    }
+  }
+
+  /** Runs one baseline by name on `pg`, bounded by `maxIntermediate`. */
+  private def runEngine(name: String, q: repro.query.Pattern,
+                        maxIntermediate: Long = Long.MaxValue): (org.apache.spark.sql.DataFrame, Long, BaselineMetrics) = {
+    val sb = Automorphism.symmetryBreaking(q)
+    name match {
+      case "PSgL"     => val r = PSgL.run(spark, pg, q, sb, maxIntermediate); (r.df, r.count, r.metrics)
+      case "TwinTwig" => val r = TwinTwig.run(spark, pg, q, sb, maxIntermediate); (r.df, r.count, r.metrics)
+      case "SEED"     => val r = Seed.run(spark, pg, q, sb, maxIntermediate); (r.df, r.count, r.metrics)
+      case "Crystal"  => val r = Crystal.run(spark, pg, q, sb, index, maxIntermediate); (r.df, r.count, r.metrics)
+    }
+  }
+
+  // (count, shuffledTuples, shuffledBytes, rounds) of each engine on this
+  // graph, pinned so that a refactor of the shared join code cannot move them.
+  private val pinned: Map[(String, String), (Long, Long, Long, Int)] = Map(
+    ("PSgL", "q1") -> (96L, 625L, 14808L, 3),
+    ("PSgL", "q2") -> (291L, 594L, 14664L, 3),
+    ("PSgL", "q4") -> (172L, 649L, 19720L, 4),
+    ("TwinTwig", "q1") -> (96L, 2508L, 62816L, 3),
+    ("TwinTwig", "q2") -> (291L, 4862L, 138144L, 3),
+    ("TwinTwig", "q4") -> (172L, 18315L, 682040L, 4),
+    ("SEED", "q1") -> (96L, 2508L, 62816L, 3),
+    ("SEED", "q2") -> (291L, 657L, 16176L, 2),
+    ("SEED", "q4") -> (172L, 2607L, 82680L, 4),
+    ("Crystal", "q1") -> (96L, 601L, 19232L, 2),
+    ("Crystal", "q2") -> (291L, 582L, 18624L, 1),
+    ("Crystal", "q4") -> (172L, 638L, 25520L, 2))
+
+  Seq("PSgL", "TwinTwig", "SEED", "Crystal").foreach { name =>
+    test(s"$name count and shuffle metrics are pinned on q1, q2 and q4") {
+      val got = Seq(Queries.q1, Queries.q2, Queries.q4).map { q =>
+        val (df, count, m) = runEngine(name, q)
+        df.unpersist()
+        (name, q.name) -> (count, m.shuffledTuples, m.shuffledBytes, m.rounds)
+      }.toMap
+      assert(got == pinned.filter(_._1._1 == name))
+    }
+
+    test(s"$name overflows at maxIntermediate = 1 and leaves nothing cached") {
+      val before = spark.sparkContext.getPersistentRDDs.keySet
+      assertThrows[IntermediateOverflowException](runEngine(name, Queries.q4, maxIntermediate = 1))
+      assert(spark.sparkContext.getPersistentRDDs.keySet == before)
     }
   }
 

@@ -32,6 +32,29 @@ class JoinEnumSuite extends SparkSpec {
     }
   }
 
+  test("Oracle catches a wrong result") {
+    val q    = Queries.q2
+    val sb   = Automorphism.symmetryBreaking(q)
+    val embs = LocalEnum.reference(q, g, sb).embeddings
+    assert(embs.nonEmpty)
+    val altered = embs.head.clone()
+    altered(0) = g.n // not a vertex of the graph
+    val df = repro.core.Rads.toDf(spark, q, altered +: embs.tail)
+    assertThrows[IllegalArgumentException] {
+      Oracle.assertEquivalent(df, JoinEnum.duckSql(q, sb), "edges" -> edges)
+    }
+  }
+
+  test("Oracle catches a column-name mismatch") {
+    val q  = Queries.q2
+    val sb = Automorphism.symmetryBreaking(q)
+    val df = repro.core.Rads.toDf(spark, q, LocalEnum.reference(q, g, sb).embeddings)
+      .withColumnRenamed("v0", "u0")
+    assertThrows[IllegalArgumentException] {
+      Oracle.assertEquivalent(df, JoinEnum.duckSql(q, sb), "edges" -> edges)
+    }
+  }
+
   test("duckSql includes one relation per pattern edge") {
     val sql = JoinEnum.duckSql(Queries.q6, Nil)
     assert((1 to Queries.q6.numEdges).forall(i => sql.contains(s"edges e$i")))

@@ -70,6 +70,23 @@ class PhasesSuite extends AnyFunSuite {
     }, 25)
   }
 
+  test("init's SM-E split agrees with the graph's border distance under metis and hash partitioning") {
+    val g = GraphGen.grid(9, 9)
+    var smeSeen = 0
+    for (q <- Seq(Queries.q1, Queries.q2, Queries.q4); m <- Seq(2, 3);
+         pg <- Seq(PartitionedGraph.metis(g, m, seed = 3), PartitionedGraph.hashed(g, m))) {
+      val ctx = PlanCtx(Planner.bestPlan(q, 1.0), Automorphism.symmetryBreaking(q))
+      (0 until pg.m).foreach { t =>
+        val st   = Phases.init(ctx, t, AdjBlock(t, pg.adjBlock(t)), pg.owner, 1e9, smeEnabled = true, seed = 5)
+        val want = pg.localVertices(t).count(v =>
+          g.neighbors(v).length >= q.degree(ctx.uStart) && pg.borderDistance(v) >= ctx.startSpan)
+        assert(st.stats.smeCandidates == want, s"${q.name} m=$m machine $t")
+        smeSeen += want
+      }
+    }
+    assert(smeSeen > 0, "some machine has SM-E candidates")
+  }
+
   test("lineage safety: re-running expand or filter on the same input gives the same output and leaves the input intact") {
     val g = GraphGen.powerLaw(120, 3, 20, seed = 4)
     var checked = Set.empty[String]
