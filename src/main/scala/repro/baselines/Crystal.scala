@@ -99,45 +99,35 @@ object Crystal {
 
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
           index: CliqueIndex, maxIntermediate: Long = Long.MaxValue): Run = {
-    val t0     = System.currentTimeMillis()
-    val edges  = pg.edgesDf(spark).persist()
-    edges.count()
-    val clique = largestPatternClique(p)
-    // buds: degree-1 vertices combined last, outside the clique seed
-    val buds = (0 until p.n).filter(u => p.degree(u) == 1 && !clique.contains(u)).toVector
+    val t0 = System.currentTimeMillis()
+    val im = new UnitJoins.Intermediates(maxIntermediate)
+    im.guard {
+      val edges  = im.input(pg.edgesDf(spark))
+      val clique = largestPatternClique(p)
+      // buds: degree-1 vertices combined last, outside the clique seed
+      val buds = (0 until p.n).filter(u => p.degree(u) == 1 && !clique.contains(u)).toVector
 
-    val seedDf: DataFrame = clique.size match {
-      case k if k >= 3 =>
-        // load the crystal straight from the index: all injective orderings
-        val rows = (if (k == 4) index.k4s.iterator.map(t => Seq(t._1, t._2, t._3, t._4))
-                    else index.triangles.iterator.map(t => Seq(t._1, t._2, t._3)))
-          .flatMap(vs => vs.permutations)
-          .map(Row.fromSeq)
-          .toSeq
-        val schema = StructType(clique.map(u => StructField(s"v$u", IntegerType, nullable = false)))
-        spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-      case _ =>
-        edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
-    }
+      val seedDf: DataFrame = clique.size match {
+        case k if k >= 3 =>
+          // load the crystal straight from the index: all injective orderings
+          val rows = (if (k == 4) index.k4s.iterator.map(t => Seq(t._1, t._2, t._3, t._4))
+                      else index.triangles.iterator.map(t => Seq(t._1, t._2, t._3)))
+            .flatMap(vs => vs.permutations)
+            .map(Row.fromSeq)
+            .toSeq
+          val schema = StructType(clique.map(u => StructField(s"v$u", IntegerType, nullable = false)))
+          spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
+        case _ =>
+          edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
+      }
 
-    var shuffled = 0L
-    var prev = Option.empty[DataFrame] // the last round, released once the next is counted
-    try {
-      val df = JoinEnum.extend(edges, p, sb, seedDf, clique,
-        onStep = (d, _) => {
-          val c = d.persist().count() // each MR round of the crystal join
-          prev.foreach(_.unpersist())
-          prev = Some(d)
-          if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-          shuffled += c
-        })
-      val (out, count) = UnitJoins.persistResult(p, df, prev)
-      shuffled += count
+      // each MR round of the crystal join ships full-width tuples, and so does the result
+      val df = JoinEnum.extend(edges, p, sb, seedDf, clique, onStep = (d, _) => im.step(d, p.n))
+      val (out, count) = im.result(p, df)
       Run(out, count,
-        BaselineMetrics("Crystal", shuffled, shuffled * p.n * 8L, p.n - clique.size,
+        BaselineMetrics("Crystal", im.tuples + count, im.bytes + count * p.n * 8L, p.n - clique.size,
           System.currentTimeMillis() - t0),
         clique.size, buds.size)
-    } catch { case e: Throwable => prev.foreach(_.unpersist()); throw e }
-    finally edges.unpersist(blocking = false)
+    }
   }
 }

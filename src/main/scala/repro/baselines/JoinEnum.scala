@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.LocalEnum
 import repro.query.Pattern
@@ -17,11 +17,15 @@ import scala.collection.mutable
 object JoinEnum {
 
   /** Extend `start` (columns `v{u}` for `mapped` vertices) to the full
-    * pattern, one vertex per step. Used by JoinEnum itself, and by Crystal
-    * to grow from an index-seeded clique.
+    * pattern, one vertex per step along [[LocalEnum.order]] from `mapped`:
+    * each step joins the partial matches with `edges(src, dst)` on one
+    * matched neighbor and semi-joins the others. Used by JoinEnum itself,
+    * by PSgL over the adjacency, and by Crystal to grow from an
+    * index-seeded clique.
     *
-    * @param onStep called with the intermediate DataFrame after each
-    *               expansion step (for counting shuffled intermediates)
+    * @param onStep called after each step with the intermediate DataFrame
+    *               and the number of vertices it maps (for counting
+    *               shuffled intermediates)
     */
   def extend(
       edges: DataFrame,
@@ -30,63 +34,63 @@ object JoinEnum {
       start: DataFrame,
       mapped: Vector[Int],
       onStep: (DataFrame, Int) => Unit = (_, _) => ()): DataFrame = {
-    var df     = start
-    val seen   = mutable.ArrayBuffer.from(mapped)
-    val sbLeft = mutable.ArrayBuffer.from(sb)
-
-    def applySb(): Unit = {
-      val ready = sbLeft.filter { case (a, b) => seen.contains(a) && seen.contains(b) }
-      ready.foreach { case (a, b) => df = df.where(col(s"v$a") < col(s"v$b")) }
-      sbLeft --= ready
-    }
-    applySb()
-
-    var step = 0
-    while (seen.size < p.n) {
-      val u = (0 until p.n).filterNot(seen.contains)
-        .filter(x => p.neighbors(x).exists(seen.contains))
-        .minBy(x => (-p.neighbors(x).count(seen.contains), -p.degree(x), x))
-      val nbrs   = p.neighbors(u).filter(seen.contains).toVector
-      val first  = nbrs.head
-      val e      = edges.select(col("src").as("_es"), col("dst").as("_ed"))
-      df = df.join(e, col(s"v$first") === col("_es"))
+    val ord = LocalEnum.order(p, mapped: _*)
+    var df  = constrain(start, sb, Vector.empty, mapped)
+    (mapped.size until p.n).foreach { k =>
+      val u    = ord(k)
+      val seen = ord.take(k)
+      val nbrs = p.neighbors(u).filter(seen.contains)
+      val e    = edges.select(col("src").as("_es"), col("dst").as("_ed"))
+      df = df.join(e, col(s"v${nbrs.head}") === col("_es"))
         .withColumnRenamed("_ed", s"v$u").drop("_es")
       nbrs.tail.foreach { other =>
         val e2 = edges.select(col("src").as("_fs"), col("dst").as("_fd"))
         df = df.join(e2, col(s"v$u") === col("_fs") && col(s"v$other") === col("_fd"), "left_semi")
       }
-      seen.foreach(w => df = df.where(col(s"v$u") =!= col(s"v$w")))
-      seen += u
-      applySb()
-      step += 1
-      onStep(df, step)
+      df = constrain(df, sb, seen, Vector(u))
+      onStep(df, k + 1)
     }
     df.select((0 until p.n).map(i => col(s"v$i")): _*)
   }
 
-  /** Full enumeration starting from all vertices. */
-  def run(spark: SparkSession, edges: DataFrame, p: Pattern, sb: Seq[(Int, Int)]): DataFrame = {
-    val u0    = LocalEnum.order(p, 0).head
-    val start = edges.select(col("src").as(s"v$u0")).distinct()
-    extend(edges, p, sb, start, Vector(u0))
+  /** The conditions that binding the `fresh` vertices adds to partial
+    * matches of `before`: injectivity between each fresh vertex and every
+    * other bound one, and each symmetry-breaking condition (a, b) whose
+    * columns both exist now but did not before.
+    */
+  def constrain(df: DataFrame, sb: Seq[(Int, Int)], before: Seq[Int], fresh: Seq[Int]): DataFrame = {
+    val bound    = before ++ fresh
+    val distinct = for (i <- fresh.indices; w <- before ++ fresh.take(i))
+      yield col(s"v${fresh(i)}") =!= col(s"v$w")
+    val ordered  = sb.collect { case (a, b)
+      if bound.contains(a) && bound.contains(b) && !(before.contains(a) && before.contains(b)) =>
+        col(s"v$a") < col(s"v$b")
+    }
+    (distinct ++ ordered).foldLeft(df)(_.where(_))
   }
+
+  /** Full enumeration starting from all vertices. */
+  def run(spark: SparkSession, edges: DataFrame, p: Pattern, sb: Seq[(Int, Int)]): DataFrame =
+    extend(edges, p, sb, edges.select(col("src").as("v0")).distinct(), Vector(0))
 
   /** DuckDB SQL equivalent over an `edges(src, dst)` table that stores both
     * directions. All columns are stored as VARCHAR by the Oracle, hence the
     * BIGINT casts on every comparison.
     */
   def duckSql(p: Pattern, sb: Seq[(Int, Int)], table: String = "edges"): String = {
-    val ord  = LocalEnum.order(p, 0)
-    val expr = mutable.Map[Int, String]()
-    val from = mutable.ArrayBuffer[String]()
-    val cond = mutable.ArrayBuffer[String]()
-    var ai   = 0
+    val ord      = LocalEnum.order(p, 0)
+    val expr     = mutable.Map[Int, String]()
+    val defining = mutable.Set[(Int, Int)]()
+    val from     = mutable.ArrayBuffer[String]()
+    val cond     = mutable.ArrayBuffer[String]()
+    var ai       = 0
     def cast(s: String) = s"CAST($s AS BIGINT)"
 
     // defining aliases: one per new vertex along the matching order
     expr(ord.head) = null // placeholder; defined by the first alias below
     ord.drop(1).foreach { u =>
       val parent = p.neighbors(u).filter(expr.contains).head
+      defining += ((math.min(parent, u), math.max(parent, u)))
       ai += 1
       val a = s"e$ai"
       from += s"$table $a"
@@ -95,17 +99,7 @@ object JoinEnum {
       expr(u) = s"$a.dst"
     }
     // remaining pattern edges: one filtering alias each
-    val definingEdges = {
-      val es = mutable.Set[(Int, Int)]()
-      val seen = mutable.ArrayBuffer(ord.head)
-      ord.drop(1).foreach { u =>
-        val parent = p.neighbors(u).filter(seen.contains).head
-        es += ((math.min(parent, u), math.max(parent, u)))
-        seen += u
-      }
-      es
-    }
-    p.edges.filterNot(definingEdges.contains).foreach { case (a, b) =>
+    p.edges.filterNot(defining.contains).foreach { case (a, b) =>
       ai += 1
       val al = s"e$ai"
       from += s"$table $al"

@@ -71,8 +71,6 @@ object Seed {
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
           maxIntermediate: Long = Long.MaxValue): Run = {
     val t0    = System.currentTimeMillis()
-    val edges = pg.edgesDf(spark).persist()
-    edges.count()
     val units = decompose(p)
     val coveredEdges = units.flatMap {
       case CliqueUnit(vs)      => for (a <- vs; b <- vs if a < b) yield (a, b)
@@ -80,18 +78,20 @@ object Seed {
     }.toSet
     require(p.edges.toSet.subsetOf(coveredEdges), s"SEED units must cover all edges of ${p.name}")
 
-    val unitDfs = units.map {
-      case CliqueUnit(vs) if vs.size == 3 =>
-        (s"tri(${vs.mkString(",")})", UnitJoins.triangleDf(edges, vs(0), vs(1), vs(2)), vs)
-      case CliqueUnit(vs) =>
-        (s"k4(${vs.mkString(",")})", UnitJoins.k4Df(edges, vs(0), vs(1), vs(2), vs(3)), vs)
-      case StarUnit(piv, lf) =>
-        (s"star($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
+    val im = new UnitJoins.Intermediates(maxIntermediate)
+    val (out, count) = im.guard {
+      val edges = im.input(pg.edgesDf(spark))
+      val unitDfs = units.map {
+        case CliqueUnit(vs) if vs.size == 3 =>
+          (s"tri(${vs.mkString(",")})", UnitJoins.triangleDf(edges, vs(0), vs(1), vs(2)), vs)
+        case CliqueUnit(vs) =>
+          (s"k4(${vs.mkString(",")})", UnitJoins.k4Df(edges, vs(0), vs(1), vs(2), vs(3)), vs)
+        case StarUnit(piv, lf) =>
+          (s"star($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
+      }
+      UnitJoins.foldJoin(p, sb, unitDfs, im)
     }
-    val (out, count, tuples, bytes) =
-      try UnitJoins.foldJoin(spark, p, sb, unitDfs.toVector, maxIntermediate)
-      finally edges.unpersist(blocking = false)
     Run(out, count,
-      BaselineMetrics("SEED", tuples, bytes, units.size, System.currentTimeMillis() - t0))
+      BaselineMetrics("SEED", im.tuples, im.bytes, units.size, System.currentTimeMillis() - t0))
   }
 }

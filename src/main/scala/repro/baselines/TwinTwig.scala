@@ -43,21 +43,21 @@ object TwinTwig {
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
           maxIntermediate: Long = Long.MaxValue): Run = {
     val t0    = System.currentTimeMillis()
-    val edges = pg.edgesDf(spark).persist()
-    edges.count()
     val units = decompose(p)
     val covered = units.flatMap { case (piv, lf) =>
       lf.map(l => (math.min(piv, l), math.max(piv, l)))
     }.toSet
     require(covered == p.edges.toSet, s"twin-twig units must cover all edges of ${p.name}")
 
-    val unitDfs = units.map { case (piv, lf) =>
-      (s"twig($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
+    val im = new UnitJoins.Intermediates(maxIntermediate)
+    val (out, count) = im.guard {
+      val edges = im.input(pg.edgesDf(spark))
+      val unitDfs = units.map { case (piv, lf) =>
+        (s"twig($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
+      }
+      UnitJoins.foldJoin(p, sb, unitDfs, im)
     }
-    val (out, count, tuples, bytes) =
-      try UnitJoins.foldJoin(spark, p, sb, unitDfs, maxIntermediate)
-      finally edges.unpersist(blocking = false)
     Run(out, count,
-      BaselineMetrics("TwinTwig", tuples, bytes, units.size, System.currentTimeMillis() - t0))
+      BaselineMetrics("TwinTwig", im.tuples, im.bytes, units.size, System.currentTimeMillis() - t0))
   }
 }

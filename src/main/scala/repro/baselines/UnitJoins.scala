@@ -1,15 +1,17 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.core.IntermediateOverflowException
 import repro.query.Pattern
 import scala.collection.mutable
 
-/** Shared machinery of the join-based baselines (TwinTwig, SEED):
-  * per-unit match DataFrames (stars / cliques from the edge relation) and
-  * the multi-round fold join that shuffles intermediates — exactly the cost
-  * the paper's §8 attributes to these systems.
+/** Shared machinery of the join-based baselines: per-unit match DataFrames
+  * (stars / cliques from the edge relation) and the multi-round fold join of
+  * TwinTwig and SEED that shuffles intermediates — exactly the cost the
+  * paper's §8 attributes to these systems — and [[Intermediates]], which
+  * persists, counts, bounds and releases the intermediates of all four.
   */
 object UnitJoins {
 
@@ -50,93 +52,106 @@ object UnitJoins {
   }
 
   /** Left-deep fold join of unit-match DataFrames with injectivity and
-    * symmetry breaking applied as soon as their columns exist.
-    *
-    * Each unit and intermediate is persisted to be counted, and released
-    * once the intermediate built from it has been counted. Spark's cache
-    * matches plans up to column names, so a unit equal to a frame already
-    * cached (a one-edge twig is the edge table) is neither persisted again
-    * nor released here.
+    * symmetry breaking applied as soon as their columns exist. Every unit
+    * and intermediate goes through `im`, so the shuffled volume counts every
+    * unit input and every intermediate join output (the MapReduce rounds of
+    * TwinTwig/SEED).
     *
     * @param units (label, matchDf, vertices) — consecutive units must share
     *              at least one vertex with the accumulated set
-    * @return (result, count, shuffledTuples, shuffledBytes): the result has
-    *         columns `v0..v{n-1}` and is persisted and counted, and the
-    *         caller unpersists it; the shuffled volume counts every unit
-    *         input and every intermediate join output (the MapReduce rounds
-    *         of TwinTwig/SEED)
+    * @return [[Intermediates.result]] of the fold: columns `v0..v{n-1}`,
+    *         persisted and counted
     */
   def foldJoin(
-      spark: SparkSession,
       p: Pattern,
       sb: Seq[(Int, Int)],
       units: Vector[(String, DataFrame, Vector[Int])],
-      maxIntermediate: Long = Long.MaxValue): (DataFrame, Long, Long, Long) = {
-    var shuffledTuples = 0L
-    var shuffledBytes  = 0L
-    val held = mutable.ArrayBuffer[DataFrame]()
-    def release(dfs: DataFrame*): Unit = dfs.filter(held.contains).foreach { d => d.unpersist(); held -= d }
-    def account(df: DataFrame, width: Int): DataFrame = {
+      im: Intermediates): (DataFrame, Long) = {
+    val (_, headDf, headVs) = units.head
+    var mapped = headVs
+    var prev   = im.account(headDf, mapped.size)
+    var df     = JoinEnum.constrain(prev, sb, Vector.empty, mapped)
+    units.tail.foreach { case (_, unitDf, vs) =>
+      val shared = vs.filter(mapped.contains)
+      require(shared.nonEmpty, "unit join needs a shared vertex")
+      val fresh  = vs.filterNot(mapped.contains)
+      val unit   = im.account(unitDf, vs.size)
+      // rename the unit's shared columns, join on equality
+      var u = unit
+      shared.foreach(s => u = u.withColumnRenamed(s"v$s", s"_j$s"))
+      val cond = shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _)
+      df = df.join(u, cond)
+      shared.foreach(s => df = df.drop(s"_j$s"))
+      df = JoinEnum.constrain(df, sb, mapped, fresh)
+      mapped ++= fresh
+      prev = im.account(df, mapped.size, prev, unit)
+    }
+    require(mapped.toSet == (0 until p.n).toSet, "units must cover the pattern")
+    im.result(p, df)
+  }
+
+  /** The frames of one join run and its shuffled volume. Each intermediate
+    * is persisted unless Spark already caches it (Spark's cache matches
+    * plans up to column names, so a one-edge twig is the edge table),
+    * counted, bounded by `maxIntermediate`, and added as `count` tuples of
+    * `width` 8-byte columns. A frame is released once the frames built from
+    * it are counted, every other frame once the result is, and all of them
+    * if the run fails: wrap the run in [[guard]].
+    */
+  final class Intermediates(maxIntermediate: Long) {
+    var tuples = 0L
+    var bytes  = 0L
+    private val held = mutable.ArrayBuffer[DataFrame]()
+    private var last = Option.empty[DataFrame]
+
+    private def count(df: DataFrame): Long = {
       if (df.storageLevel == StorageLevel.NONE) held += df.persist()
-      val c = df.count()
-      if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-      shuffledTuples += c
-      shuffledBytes  += c * width * 8L
+      df.count()
+    }
+
+    private def release(dfs: Seq[DataFrame]): Unit =
+      dfs.filter(held.contains).foreach { d => d.unpersist(); held -= d }
+
+    /** Persists and counts a frame the whole run reads (edges, adjacency),
+      * without adding it to the shuffled volume.
+      */
+    def input(df: DataFrame): DataFrame = { count(df); df }
+
+    /** Persists and counts intermediate `df` of `width` columns, fails above
+      * `maxIntermediate`, adds it to the shuffled volume, then releases
+      * `supersedes`.
+      */
+    def account(df: DataFrame, width: Int, supersedes: DataFrame*): DataFrame = {
+      val c = count(df)
+      if (c > maxIntermediate) throw new IntermediateOverflowException(c, maxIntermediate)
+      tuples += c
+      bytes  += c * width * 8L
+      release(supersedes)
+      last = Some(df)
       df
     }
 
-    val sbLeft = mutable.ArrayBuffer.from(sb)
-    val mapped = mutable.ArrayBuffer.from(units.head._3)
-    def applySb(d0: DataFrame): DataFrame = {
-      var d = d0
-      val ready = sbLeft.filter { case (a, b) => mapped.contains(a) && mapped.contains(b) }
-      ready.foreach { case (a, b) => d = d.where(col(s"v$a") < col(s"v$b")) }
-      sbLeft --= ready
-      d
+    /** [[account]] for a chain of steps, each superseding the one before. */
+    def step(df: DataFrame, width: Int): Unit = account(df, width, last.toSeq: _*)
+
+    /** Persists and counts `df` with its columns in query-vertex order
+      * (`v0..v{n-1}`), then releases every other frame. Spark's cache takes
+      * a select that keeps the column order for the last intermediate
+      * itself; the result then shares that frame's cache, which stays.
+      *
+      * @return (result, count); the caller unpersists the result
+      */
+    def result(p: Pattern, df: DataFrame): (DataFrame, Long) = {
+      val out    = df.select((0 until p.n).map(i => col(s"v$i")): _*)
+      val shared = out.storageLevel != StorageLevel.NONE
+      if (!shared) out.persist()
+      val n = out.count()
+      release(held.filterNot(d => shared && last.contains(d)).toSeq)
+      (out, n)
     }
 
-    try {
-      var prev = account(units.head._2, mapped.size)
-      var df   = applySb(prev)
-      units.tail.foreach { case (_, unitDf, vs) =>
-        val shared = vs.filter(mapped.contains)
-        require(shared.nonEmpty, "unit join needs a shared vertex")
-        val fresh  = vs.filterNot(mapped.contains)
-        val unit   = account(unitDf, vs.size)
-        // rename the unit's shared columns, join on equality
-        var u = unit
-        shared.foreach(s => u = u.withColumnRenamed(s"v$s", s"_j$s"))
-        val cond = shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _)
-        df = df.join(u, cond)
-        shared.foreach(s => df = df.drop(s"_j$s"))
-        fresh.foreach { f => mapped.foreach { w => if (w != f) df = df.where(col(s"v$f") =!= col(s"v$w")) } }
-        for (i <- fresh.indices; j <- 0 until i)
-          df = df.where(col(s"v${fresh(i)}") =!= col(s"v${fresh(j)}"))
-        mapped ++= fresh
-        df = applySb(df)
-        df = account(df, mapped.size)
-        release(prev, unit)
-        prev = df
-      }
-      require(mapped.toSet == (0 until p.n).toSet, "units must cover the pattern")
-      val (out, count) = persistResult(p, df, Some(prev).filter(held.contains))
-      (out, count, shuffledTuples, shuffledBytes)
-    } catch { case e: Throwable => release(held.toSeq: _*); throw e }
-  }
-
-  /** Persists and counts `df` with its columns in query-vertex order
-    * (`v0..v{n-1}`), then releases `last`, the persisted frame `df` was
-    * computed from. Spark's cache takes a select that keeps the column order
-    * for `last` itself; the result then shares `last`'s cache, which stays.
-    *
-    * @return (result, count); the caller unpersists the result
-    */
-  def persistResult(p: Pattern, df: DataFrame, last: Option[DataFrame]): (DataFrame, Long) = {
-    val out    = df.select((0 until p.n).map(i => col(s"v$i")): _*)
-    val shared = out.storageLevel != StorageLevel.NONE
-    if (!shared) out.persist()
-    val count = out.count()
-    if (!shared) last.foreach(_.unpersist())
-    (out, count)
+    /** Runs `body`, releasing every held frame if it throws. */
+    def guard[A](body: => A): A =
+      try body catch { case e: Throwable => release(held.toSeq); throw e }
   }
 }

@@ -28,12 +28,13 @@ object LocalEnum {
     */
   final case class Result(count: Long, embeddings: Vector[Array[Int]], partials: Long)
 
-  /** Matching order starting at `root`: greedy BFS maximizing matched
-    * neighbors, then degree, then id.
+  /** Matching order starting with `seeds` (the root, or a matched clique):
+    * greedy BFS maximizing matched neighbors, then degree, then id. The
+    * join-based baselines extend their partial matches along it too.
     */
-  def order(p: Pattern, root: Int): Vector[Int] = {
-    val out  = mutable.ArrayBuffer(root)
-    val seen = mutable.Set(root)
+  def order(p: Pattern, seeds: Int*): Vector[Int] = {
+    val out  = mutable.ArrayBuffer.from(seeds)
+    val seen = mutable.Set.from(seeds)
     while (out.size < p.n) {
       val cands = (0 until p.n).filterNot(seen.contains)
         .filter(u => p.neighbors(u).exists(seen.contains))

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import repro.graph.PartitionedGraph
 
 /** Pure per-machine R-Meef phase functions (Algorithms 1, 2 and 4).
   *
@@ -27,25 +27,13 @@ object Phases {
     val local  = block.adj.keys.toArray.sorted
     val isLocal = (v: Int) => owner(v) == mid
 
-    // --- border distance (Def. 1): BFS from border vertices, local subgraph only ---
-    val bd = mutable.HashMap[Int, Int]()
-    val q  = new mutable.ArrayDeque[Int]()
-    local.foreach { v =>
-      if (block.adj(v).exists(w => owner(w) != mid)) { bd(v) = 0; q.append(v) }
-    }
-    while (q.nonEmpty) {
-      val v = q.removeHead()
-      block.adj(v).foreach { w =>
-        if (isLocal(w) && !bd.contains(w)) { bd(w) = bd(v) + 1; q.append(w) }
-      }
-    }
-    def borderDist(v: Int): Int = bd.getOrElse(v, Int.MaxValue)
+    // --- border distance (Def. 1) of each local vertex ---
+    val bd = PartitionedGraph.borderDistance(local, block.adj, isLocal)
 
     // --- candidates of dp0.piv + SM-E split ---
-    val candidates = local.filter(v => block.adj(v).length >= p.degree(uStart))
-    val (smeCands, distCands) =
-      if (smeEnabled) candidates.partition(v => borderDist(v) >= ctx.startSpan)
-      else (Array.empty[Int], candidates)
+    val candidates = local.indices.filter(i => block.adj(local(i)).length >= p.degree(uStart))
+    val (smeIdx, distIdx) = candidates.partition(i => smeEnabled && bd(i) >= ctx.startSpan)
+    val (smeCands, distCands) = (smeIdx.map(local), distIdx.map(local))
 
     // --- SM-E: single-machine enumeration restricted to local vertices ---
     val adjOf: Int => Array[Int] = v => if (isLocal(v)) block.adj(v) else Array.empty[Int]

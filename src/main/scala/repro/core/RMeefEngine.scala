@@ -7,6 +7,7 @@ import org.apache.spark.storage.StorageLevel
 import repro.graph.PartitionedGraph
 import repro.query.{ExecutionPlan, Pattern}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Routes machine-id keys to their own partition: machine t == partition t.
   * This is what keeps every cogroup against the per-machine state narrow —
@@ -179,35 +180,36 @@ object RMeefEngine {
       state.map { case (_, st) => (st.groups.size, st.resultChunks.iterator.map(_.size.toLong).sum, st.stats) }
         .reduce { case ((g1, c1, s1), (g2, c2, s2)) => (math.max(g1, g2), c1 + c2, s1 + s2) }
 
-    // -- fetchV cycle: each machine's batched request, answered by the owners --
-    def fetchResp(state: States, i: Int): RDD[(Int, (Int, Array[Int]))] = {
-      val reqs = state.flatMap { case (mid, st) =>
-        st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
-      }
-      reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
+    /** One request/answer cycle: each machine's `requests` (owner, request)
+      * go to the owners, are answered against their adjacency blocks, and
+      * the (requester, answer) pairs return to the requesters.
+      */
+    def exchange[Q: ClassTag, A: ClassTag](state: States)(requests: ((Int, MachineState)) => Iterator[(Int, Q)])(
+        answer: (AdjBlock, Q) => (Int, A)): RDD[(Int, A)] =
+      state.flatMap(requests).partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
         val block = aIter.next()._2
-        rIter.map { case (_, (reqMid, v)) =>
-          fetchReqB.add(8)
-          val nb = block.adj.getOrElse(v, Array.empty[Int])
-          fetchRespB.add(8L * (1 + nb.length))
-          (reqMid, (v, nb))
-        }
+        rIter.map { case (_, q) => answer(block, q) }
       }.partitionBy(part)
-    }
+
+    // -- fetchV cycle: each machine's batched request, answered by the owners --
+    def fetchResp(state: States, i: Int): RDD[(Int, (Int, Array[Int]))] =
+      exchange(state) { case (mid, st) =>
+        st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
+      } { case (block, (reqMid, v)) =>
+        fetchReqB.add(8)
+        val nb = block.adj.getOrElse(v, Array.empty[Int])
+        fetchRespB.add(8L * (1 + nb.length))
+        (reqMid, (v, nb))
+      }
 
     // -- verifyE cycle: every EVI key, answered by its first endpoint's owner --
-    def verifyResp(state: States): RDD[(Int, ((Int, Int), Boolean))] = {
-      val reqs = state.flatMap { case (mid, st) =>
+    def verifyResp(state: States): RDD[(Int, ((Int, Int), Boolean))] =
+      exchange(state) { case (mid, st) =>
         st.eviKeys.map { case (a, b) => (ownerBc.value(a), (mid, a, b)) }
+      } { case (block, (reqMid, a, b)) =>
+        verReqB.add(16); verRespB.add(1)
+        (reqMid, ((a, b), block.hasEdge(a, b)))
       }
-      reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
-        val block = aIter.next()._2
-        rIter.map { case (_, (reqMid, a, b)) =>
-          verReqB.add(16); verRespB.add(1)
-          (reqMid, ((a, b), block.hasEdge(a, b)))
-        }
-      }.partitionBy(part)
-    }
 
     try {
       // ---- init: candidates, border distance, SM-E, region groups ----

@@ -8,17 +8,14 @@ import scala.collection.mutable
   * Mirrors the paper's storage model (§2): each vertex's full adjacency list
   * lives on exactly one machine (its owner); a vertex is a *border* vertex
   * of its machine iff some neighbor is owned elsewhere. Border distance
-  * (Def. 1) is computed by multi-source BFS from the border set restricted
-  * to machine-local vertices — the restriction is sound for Prop. 1 because
-  * any walk leaving the partition crosses a border vertex first (DESIGN §6).
+  * (Def. 1) is computed per machine by multi-source BFS from the border set
+  * restricted to machine-local vertices — the restriction is sound for
+  * Prop. 1 because any walk leaving the partition crosses a border vertex
+  * first (DESIGN §6).
   */
 final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
   require(owner.length == graph.n, "owner map must cover all vertices")
   require(owner.forall(t => t >= 0 && t < m), "owner out of range")
-
-  def ownerOf(v: Int): Int = owner(v)
-
-  def isLocal(v: Int, machine: Int): Boolean = owner(v) == machine
 
   /** Border test: some neighbor lives on a different machine. */
   def isBorder(v: Int): Boolean = {
@@ -41,25 +38,17 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
   lazy val borderVertices: Array[Array[Int]] =
     localVertices.map(_.filter(isBorder))
 
-  /** Border distance per vertex (Def. 1): BFS distance, within the owner's
-    * local subgraph, to the nearest border vertex of that machine.
-    * `Int.MaxValue` when the machine has no border vertices reachable (e.g.
-    * m = 1, or an interior island) — such vertices always qualify for SM-E.
+  /** Border distance per vertex (Def. 1), from [[PartitionedGraph.borderDistance]]
+    * on each machine. `Int.MaxValue` when the machine has no border vertices
+    * reachable (e.g. m = 1, or an interior island) — such vertices always
+    * qualify for SM-E.
     */
   lazy val borderDistance: Array[Int] = {
-    val dist = Array.fill(graph.n)(Int.MaxValue)
-    val q    = new mutable.ArrayDeque[Int]()
-    for (t <- 0 until m; b <- borderVertices(t)) { dist(b) = 0; q.append(b) }
-    while (q.nonEmpty) {
-      val v  = q.removeHead()
-      val t  = owner(v)
-      val nb = graph.neighbors(v)
-      var i  = 0
-      while (i < nb.length) {
-        val w = nb(i)
-        if (owner(w) == t && dist(w) == Int.MaxValue) { dist(w) = dist(v) + 1; q.append(w) }
-        i += 1
-      }
+    val dist = new Array[Int](graph.n)
+    for (t <- 0 until m) {
+      val local = localVertices(t)
+      val d     = PartitionedGraph.borderDistance(local, graph.neighbors, owner(_) == t)
+      local.indices.foreach(i => dist(local(i)) = d(i))
     }
     dist
   }
@@ -89,6 +78,30 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
 }
 
 object PartitionedGraph {
+  /** Border distance (Def. 1) on one machine: for each of its vertices
+    * `local` (sorted), the BFS distance within its local subgraph to the
+    * nearest border vertex, a vertex with a neighbor elsewhere;
+    * `Int.MaxValue` where none is reachable.
+    *
+    * @param adj     adjacency of the machine's vertices
+    * @param isLocal whether the machine owns a vertex
+    */
+  def borderDistance(local: Array[Int], adj: Int => Array[Int], isLocal: Int => Boolean): Array[Int] = {
+    val dist = Array.fill(local.length)(Int.MaxValue)
+    val q    = new mutable.ArrayDeque[Int]() // indices into `local`
+    local.indices.foreach { i => if (!adj(local(i)).forall(isLocal)) { dist(i) = 0; q.append(i) } }
+    while (q.nonEmpty) {
+      val i = q.removeHead()
+      adj(local(i)).foreach { w =>
+        if (isLocal(w)) {
+          val j = java.util.Arrays.binarySearch(local, w)
+          if (dist(j) == Int.MaxValue) { dist(j) = dist(i) + 1; q.append(j) }
+        }
+      }
+    }
+    dist
+  }
+
   /** Partition with METIS-lite (the default, like the paper's METIS). */
   def metis(g: Graph, m: Int, seed: Long = 17): PartitionedGraph =
     PartitionedGraph(g, GraphPartitioner.metisLite(g, m, seed), m)

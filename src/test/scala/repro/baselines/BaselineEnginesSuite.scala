@@ -83,12 +83,14 @@ class BaselineEnginesSuite extends SparkSpec {
 
   Seq("PSgL", "TwinTwig", "SEED", "Crystal").foreach { name =>
     test(s"$name count and shuffle metrics are pinned on q1, q2 and q4") {
+      val before = spark.sparkContext.getPersistentRDDs.keySet
       val got = Seq(Queries.q1, Queries.q2, Queries.q4).map { q =>
         val (df, count, m) = runEngine(name, q)
         df.unpersist()
         (name, q.name) -> (count, m.shuffledTuples, m.shuffledBytes, m.rounds)
       }.toMap
       assert(got == pinned.filter(_._1._1 == name))
+      assert(spark.sparkContext.getPersistentRDDs.keySet == before, "unpersisting the result releases the run")
     }
 
     test(s"$name overflows at maxIntermediate = 1 and leaves nothing cached") {
